@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from ..cloud.billing import BillingMeter
+from .api import VertexProgram
 from .job import JobResult, JobSpec
 from .superstep import JobTrace
 
@@ -49,6 +50,9 @@ class PlanRefusedError(RuntimeError):
 
 _INT_MAX = np.iinfo(np.int64).max
 _INT_MIN = np.iinfo(np.int64).min
+#: the whole arc range as an index: basic slicing yields views of the
+#: engine's arc arrays, so a scatter over every arc gathers nothing
+_ALL_ARCS = slice(None)
 
 
 def _reduce_identity(reduce: str, dtype: np.dtype) -> Any:
@@ -328,6 +332,12 @@ class DenseRefEngine:
             np.arange(self.n, dtype=np.int64), degrees
         )
         self.static_degree = degrees.astype(np.int64)
+        self.has_out = degrees > 0
+        self.n_has_out = int(np.count_nonzero(self.has_out))
+        #: msg_count of a superstep whose pending buffer is every arc
+        self.in_degree = np.bincount(self.dst, minlength=self.n).astype(
+            np.int64
+        )
         if g.weights is not None:
             self.weights = np.asarray(g.weights, dtype=np.float64)
         else:
@@ -387,7 +397,8 @@ class DenseRefEngine:
             return msg_count
         if reduce == "sum":
             reduced = np.bincount(
-                pend_dst, weights=pend_val.astype(np.float64), minlength=n
+                pend_dst, weights=pend_val.astype(np.float64, copy=False),
+                minlength=n,
             )
             if mdt.kind != "f":
                 reduced = reduced.astype(mdt)
@@ -445,6 +456,13 @@ class DenseRefEngine:
             np.ones(self.m, dtype=bool) if plan.uses_mutation else None
         )
         rev_arc = self._reverse_arcs() if self._needs_prune else None
+        # a scatter from every vertex with out-arcs covers the whole arc
+        # range unless a live-arc mask can take arcs out of it; prune ops
+        # need explicit arc ids, so peel plans always gather
+        whole_range_ok = (
+            edge_alive is None and not self._needs_prune
+            and self.n_has_out > 0
+        )
 
         halted = np.zeros(n, dtype=bool)
         active_ids = job.initial_active_ids()
@@ -492,9 +510,12 @@ class DenseRefEngine:
                 else:
                     out_degree = self.static_degree
 
-                msg_count = np.bincount(pend_dst, minlength=n).astype(
-                    np.int64
-                )
+                if pend_dst is self.dst:
+                    msg_count = self.in_degree
+                else:
+                    msg_count = np.bincount(pend_dst, minlength=n).astype(
+                        np.int64
+                    )
                 computed = (msg_count > 0) | (~halted)
                 halted[computed] = False
 
@@ -532,12 +553,19 @@ class DenseRefEngine:
                         if op.kind == "vote":
                             halted[mask] = True
                         elif op.kind == "scatter":
-                            arc_sel = mask[self.src]
-                            if edge_alive is not None:
-                                arc_sel &= edge_alive
-                            arcs = np.flatnonzero(arc_sel)
-                            if arcs.size == 0:
-                                continue
+                            if whole_range_ok and np.count_nonzero(
+                                mask & self.has_out
+                            ) == self.n_has_out:
+                                arcs = _ALL_ARCS
+                                dst = self.dst
+                            else:
+                                arc_sel = mask[self.src]
+                                if edge_alive is not None:
+                                    arc_sel &= edge_alive
+                                arcs = np.flatnonzero(arc_sel)
+                                if arcs.size == 0:
+                                    continue
+                                dst = self.dst[arcs]
                             raw = (
                                 ev.arc_hoisted(op.payload, arcs)
                                 if getattr(op, "hoist", False)
@@ -545,9 +573,9 @@ class DenseRefEngine:
                             )
                             payload = np.broadcast_to(
                                 np.asarray(raw, dtype=mdt),
-                                arcs.shape,
+                                dst.shape,
                             )
-                            next_dst.append(self.dst[arcs])
+                            next_dst.append(dst)
                             next_val.append(payload)
                             next_arc.append(arcs)
                         elif op.kind == "aggregate":
@@ -611,7 +639,12 @@ class DenseRefEngine:
                     halted_flag = True
                     break
 
-                if next_dst:
+                if len(next_dst) == 1:
+                    # read-only: a whole-range scatter's buffers are the
+                    # engine's own arc arrays (or views of them)
+                    pend_dst, pend_val = next_dst[0], next_val[0]
+                    pend_arc = next_arc[0] if self._needs_prune else pend_arc
+                elif next_dst:
                     pend_dst = np.concatenate(next_dst)
                     pend_val = np.concatenate(next_val)
                     pend_arc = (
@@ -624,10 +657,13 @@ class DenseRefEngine:
                     pend_val = np.empty(0, dtype=mdt)
                     pend_arc = np.empty(0, dtype=np.int64)
 
-        extract = self.program.extract
-        values = {
-            v: extract(v, sv) for v, sv in enumerate(state.tolist())
-        }
+        if type(self.program).extract is VertexProgram.extract:
+            values = dict(enumerate(state.tolist()))
+        else:
+            extract = self.program.extract
+            values = {
+                v: extract(v, sv) for v, sv in enumerate(state.tolist())
+            }
         return JobResult(
             values=values,
             trace=JobTrace(),

@@ -143,8 +143,10 @@ class JobResult:
 
     def values_array(self, dtype=float) -> np.ndarray:
         """Dense result vector indexed by vertex id (for numeric programs)."""
-        n = max(self.values) + 1 if self.values else 0
-        out = np.zeros(n, dtype=dtype)
-        for v, val in self.values.items():
-            out[v] = val
+        ids = np.fromiter(self.values.keys(), dtype=np.int64,
+                          count=len(self.values))
+        vals = np.fromiter(self.values.values(), dtype=dtype,
+                           count=len(self.values))
+        out = np.zeros(int(ids.max()) + 1 if ids.size else 0, dtype=dtype)
+        out[ids] = vals
         return out

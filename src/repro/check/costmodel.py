@@ -1098,13 +1098,10 @@ def profile_paths(targets: Iterable[str]) -> list[ProgramProfile]:
     return out
 
 
-def profile_of(program: Any) -> ProgramProfile | None:
-    """Profile a *live* program object (or class) from its source file.
-
-    Unwraps tracing/sanitizing wrappers (anything exposing ``.inner``).
-    Returns None when the source cannot be located (REPL/exec-defined
-    classes) — callers treat an absent profile as "no static knowledge".
-    """
+def _program_source(program: Any) -> tuple[type, str, str] | None:
+    """``(class, source path, source text)`` of a live program object (or
+    class), unwrapping tracing/sanitizing wrappers (anything exposing
+    ``.inner``); None when the source cannot be located."""
     import inspect
 
     seen = 0
@@ -1119,10 +1116,33 @@ def profile_of(program: Any) -> ProgramProfile | None:
         source = Path(path).read_text(encoding="utf-8")
     except (TypeError, OSError, UnicodeDecodeError):
         return None
-    for profile in profile_source(source, filename=path):
-        if profile.program == cls.__name__:
-            return profile
-    return None
+    return cls, path, source
+
+
+#: profile_of verdicts keyed by ``(class, source path, source text)``:
+#: one parse per program class per process while its source is unchanged
+_PROFILE_CACHE: dict[tuple[type, str, str], ProgramProfile | None] = {}
+
+
+def profile_of(program: Any) -> ProgramProfile | None:
+    """Profile a *live* program object (or class) from its source file.
+
+    Unwraps tracing/sanitizing wrappers (anything exposing ``.inner``).
+    Returns None when the source cannot be located (REPL/exec-defined
+    classes) — callers treat an absent profile as "no static knowledge".
+    Memoized: repeated calls for one class return the same profile.
+    """
+    key = _program_source(program)
+    if key is None:
+        return None
+    if key not in _PROFILE_CACHE:
+        cls, path, source = key
+        _PROFILE_CACHE[key] = next(
+            (p for p in profile_source(source, filename=path)
+             if p.program == cls.__name__),
+            None,
+        )
+    return _PROFILE_CACHE[key]
 
 
 def estimate_bytes_per_root(

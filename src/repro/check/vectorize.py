@@ -75,6 +75,7 @@ from .costmodel import (
     FanoutClass,
     _declared_aggregators,
     _declared_combiner,
+    _program_source,
     profile_program,
 )
 from .findings import Severity
@@ -1728,30 +1729,28 @@ def lift_paths(targets) -> list[LiftResult]:
     return out
 
 
+#: lift_of verdicts keyed like costmodel's profile_of cache
+_LIFT_CACHE: dict[tuple[type, str, str], LiftResult | None] = {}
+
+
 def lift_of(program: Any) -> LiftResult | None:
     """Verdict for a *live* program object (or class) from its source file.
 
     Mirrors :func:`repro.check.costmodel.profile_of`: unwraps wrappers
-    exposing ``.inner``; returns None when the source cannot be located.
+    exposing ``.inner``; returns None when the source cannot be located;
+    memoized per class and source text.
     """
-    import inspect
-
-    seen = 0
-    while hasattr(program, "inner") and seen < 8:
-        program = program.inner
-        seen += 1
-    cls = program if isinstance(program, type) else type(program)
-    try:
-        path = inspect.getsourcefile(cls)
-        if path is None:
-            return None
-        source = Path(path).read_text(encoding="utf-8")
-    except (TypeError, OSError, UnicodeDecodeError):
+    key = _program_source(program)
+    if key is None:
         return None
-    for result in lift_source(source, filename=path):
-        if result.program == cls.__name__:
-            return result
-    return None
+    if key not in _LIFT_CACHE:
+        cls, path, source = key
+        _LIFT_CACHE[key] = next(
+            (r for r in lift_source(source, filename=path)
+             if r.program == cls.__name__),
+            None,
+        )
+    return _LIFT_CACHE[key]
 
 
 # ----------------------------------------------------------------------

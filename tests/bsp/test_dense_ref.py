@@ -5,6 +5,7 @@ the engine-selection wiring (sanitizer, runner, run_job_dense_ref).
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -204,3 +205,158 @@ def test_explicit_plan_override(directed):
         plan=plan,
     ).run()
     assert res.kernel_plan is plan
+
+
+# ----------------------------------------------------------------------
+# Whole-range and masked scatters in one job
+# ----------------------------------------------------------------------
+def _frontier_graph(undirected=False, weighted=False):
+    """A 9-cycle with chords, vertices 9 and 10 dangling (in-arcs only)
+    and vertex 11 isolated; every vertex with out-arcs is reachable from
+    0, so a frontier grown from 0 ends up covering the whole arc range."""
+    from repro.graph.builder import from_edges
+
+    edges = [(v, (v + 1) % 9) for v in range(9)]
+    edges += [(2, 5), (7, 3), (4, 0), (3, 9), (6, 9), (8, 10)]
+    g = from_edges(12, edges, undirected=undirected)
+    if weighted:
+        rng = np.random.default_rng(11)
+        g = CSRGraph(g.num_vertices, g.indptr, g.indices,
+                     weights=rng.uniform(0.5, 3.0, g.num_arcs))
+    return g
+
+
+def _bits(x):
+    return struct.pack("<d", x) if isinstance(x, float) else x
+
+
+def _bit_equal(ref, dense):
+    assert dense.supersteps == ref.supersteps
+    assert dense.halted == ref.halted
+    assert {v: _bits(x) for v, x in dense.values.items()} == {
+        v: _bits(x) for v, x in ref.values.items()
+    }
+    assert {k: _bits(x) for k, x in dense.aggregates.items()} == {
+        k: _bits(x) for k, x in ref.aggregates.items()
+    }
+
+
+_HAS_OUT = list(range(9))  # vertices of _frontier_graph with out-arcs
+
+FRONTIER_CASES = {
+    # partial frontier first (one active vertex), whole range once the
+    # ranks reach every vertex with out-arcs
+    "pagerank": (lambda: PageRankProgram(iterations=12),
+                 dict(initially_active=[0]), {}),
+    # every vertex with out-arcs improves at superstep 0, then only the
+    # improved ones send
+    "sssp": (lambda: SSSPProgram(source=0), dict(
+        initially_active=False,
+        initial_messages=[(v, float(9 - v)) for v in _HAS_OUT],
+    ), dict(weighted=True)),
+    # every vertex sends at superstep 0, then only changed labels send
+    "cc": (ConnectedComponentsProgram, {}, dict(undirected=True)),
+    "wcc": (WCCProgram, {}, dict(undirected=True)),
+    "lpa": (lambda: LabelPropagationProgram(max_rounds=12),
+            dict(initially_active=[0, 4]), dict(undirected=True)),
+    # peel plans keep a live-arc mask, so every scatter is masked
+    "kcore": (lambda: KCoreProgram(k=2), {}, dict(undirected=True)),
+    # ... even when every vertex with arcs peels (and sends) at once
+    "kcore-all-peel": (lambda: KCoreProgram(k=8), {},
+                       dict(undirected=True)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRONTIER_CASES))
+def test_whole_range_and_masked_scatters_bit_equal_sim(name, monkeypatch):
+    from repro.bsp import dense_ref
+
+    factory, job_kwargs, graph_kwargs = FRONTIER_CASES[name]
+    g = _frontier_graph(**graph_kwargs)
+    kinds = []
+    for method in ("arc", "arc_hoisted"):
+        real = getattr(dense_ref._Eval, method)
+
+        def spy(self, expr, arcs, _real=real):
+            kinds.append("whole" if arcs is dense_ref._ALL_ARCS else "masked")
+            return _real(self, expr, arcs)
+
+        monkeypatch.setattr(dense_ref._Eval, method, spy)
+
+    ref, dense = _run_both(factory, g, **job_kwargs)
+    _bit_equal(ref, dense)
+    expected = (
+        {"masked"} if name.startswith("kcore") else {"whole", "masked"}
+    )
+    assert set(kinds) == expected
+
+
+def test_caller_plan_with_prune_but_no_mutation_stays_masked(monkeypatch):
+    # a hand-built plan may carry prune ops without uses_mutation; its
+    # scatters must still gather explicit arc ids for the prune to read
+    from dataclasses import replace
+
+    from repro.bsp import dense_ref
+
+    g = _frontier_graph(undirected=True)
+
+    def job():
+        return JobSpec(program=KCoreProgram(k=8), graph=g, num_workers=1)
+
+    plan = replace(DenseRefEngine(job()).plan, uses_mutation=False)
+    seen = []
+    real = dense_ref._Eval.arc
+
+    def spy(self, expr, arcs):
+        seen.append(arcs is dense_ref._ALL_ARCS)
+        return real(self, expr, arcs)
+
+    monkeypatch.setattr(dense_ref._Eval, "arc", spy)
+    res = DenseRefEngine(job(), plan=plan).run()
+    assert res.supersteps > 1
+    assert seen and not any(seen)
+
+
+def test_extract_default_and_overridden(directed):
+    # an inherited extract() maps the state list straight into the dict;
+    # an overriding one still runs once per vertex
+    class Doubled(PageRankProgram):
+        def extract(self, vertex_id, state):
+            return 2.0 * state
+
+    plan = DenseRefEngine(
+        JobSpec(program=PageRankProgram(iterations=5), graph=directed,
+                num_workers=1)
+    ).plan
+    a = DenseRefEngine(JobSpec(program=PageRankProgram(iterations=5),
+                               graph=directed, num_workers=1)).run()
+    b = DenseRefEngine(JobSpec(program=Doubled(iterations=5),
+                               graph=directed, num_workers=1),
+                       plan=plan).run()
+    assert list(a.values) == list(range(directed.num_vertices))
+    assert all(type(x) is float for x in a.values.values())
+    assert {v: _bits(2.0 * x) for v, x in a.values.items()} == {
+        v: _bits(x) for v, x in b.values.items()
+    }
+
+
+def test_static_analysis_runs_once_per_program(directed, monkeypatch):
+    # profile_of/lift_of memoize per (class, source path, source text):
+    # after one pass, building a dense engine re-parses nothing.
+    from repro.check import costmodel, vectorize
+
+    profile = costmodel.profile_of(PageRankProgram)
+    verdict = vectorize.lift_of(PageRankProgram(iterations=3))
+
+    def no_reparse(*args, **kwargs):
+        raise AssertionError("static analysis ran again")
+
+    monkeypatch.setattr(costmodel, "profile_source", no_reparse)
+    monkeypatch.setattr(vectorize, "lift_source", no_reparse)
+    assert costmodel.profile_of(PageRankProgram(iterations=7)) is profile
+    assert vectorize.lift_of(PageRankProgram) is verdict
+    engine = DenseRefEngine(
+        JobSpec(program=PageRankProgram(iterations=3), graph=directed,
+                num_workers=2)
+    )
+    assert engine.plan is not None
