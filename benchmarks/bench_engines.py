@@ -1,17 +1,15 @@
-"""Extension bench — host wall-clock of the three execution backends.
+"""Extension bench — host wall-clock of the per-vertex execution backends.
 
 The simulated-cloud clock is identical across backends by construction
 (bit-equal results, same accounting); what differs is *host* wall-clock:
 
 * **sequential** (``BSPEngine``) — the baseline interpreter loop;
-* **threaded** (``ThreadedBSPEngine``) — pooled compute phase, bounded by
-  the GIL for pure-Python ``compute()``;
 * **process** (``repro.dist.ProcessBSPEngine``) — real worker processes,
   paying serialization per superstep to escape the GIL, the Pregel.NET
   worker-per-VM shape (§III).
 
-On a single-core runner expect sequential ≤ threaded ≤ process (the
-overheads, not the speedups); on a many-core host with a compute-heavy
+On a single-core runner expect sequential ≤ process (the overheads, not
+the speedups); on a many-core host with a compute-heavy
 program the ordering inverts.  The measured times land in
 ``BENCH_engines.json`` so runs on different hosts can be compared.
 """
@@ -20,7 +18,7 @@ import json
 import time
 
 from repro.algorithms import PageRankProgram
-from repro.bsp import JobSpec, run_job, run_job_process, run_job_threaded
+from repro.bsp import JobSpec, run_job, run_job_process
 from repro.graph import generators as gen
 
 from helpers import banner, run_once
@@ -30,7 +28,6 @@ NUM_WORKERS = 4
 
 RUNNERS = {
     "sequential": run_job,
-    "threaded": run_job_threaded,
     "process": run_job_process,
 }
 

@@ -2,10 +2,10 @@
 
 Two claims behind ``repro perf`` worth guarding numerically:
 
-* attaching a :class:`repro.obs.RunTimeline` must be cheap (it appends
-  one dataclass row per worker per superstep on quantities the engine
-  already computed), and leaving it detached must cost nothing but an
-  ``is None`` check per site;
+* attaching a :class:`repro.obs.RunTimeline` must be cheap (it appends a
+  reference to each committed superstep's stats, which the engine builds
+  anyway), and leaving it detached must cost nothing but an ``is None``
+  check per site;
 * the straggler detector must attribute injected jitter to the injected
   worker — precision on a known-cause workload.
 

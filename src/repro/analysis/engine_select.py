@@ -5,10 +5,11 @@ the execution strategy *before* the job runs.  This module is that
 choice as a pure function: given the static analyses the runner already
 computes — the vectorize verdict (can the program execute densely?), the
 costmodel :class:`~repro.check.costmodel.ProgramProfile` (fan-out class,
-pickle safety), and the host/worker topology — rank the five backends
-{dense-ref, tcp, process, threaded, sim} and return the winner together
-with every reason: why it won, why each excluded engine was excluded,
-and any hazards in the outcome (the RPC022 condition).
+pickle safety), and the host/worker topology — rank the four backends
+{dense-ref, tcp, process, sim} and return the winner together with every
+reason: why it won, why each excluded engine was excluded, and any
+hazards in the outcome (the RPC022 condition).  :func:`make_engine`
+builds the backend a name (chosen or given) stands for.
 
 The decision is recorded on :attr:`JobResult.engine_decision
 <repro.bsp.job.JobResult.engine_decision>` and in the flight recorder
@@ -23,19 +24,51 @@ from typing import Any
 
 from ..check.costmodel import FanoutClass
 
-__all__ = ["EngineDecision", "select_engine", "dense_refused_features"]
+__all__ = [
+    "ENGINES", "EngineDecision", "make_engine", "select_engine",
+    "dense_refused_features",
+]
+
+#: every backend name :func:`make_engine` builds
+ENGINES = ("sim", "process", "tcp", "dense-ref")
 
 #: Ranking scores per (engine, multi-worker?).  dense-ref dominates when
 #: eligible — it replaces the per-vertex Python loop with NumPy kernels.
 #: With real parallelism available (num_workers > 1) the distributed
-#: engines beat the GIL-bound ones; single-worker, their setup cost is
-#: pure overhead and the sequential simulator wins the fallback.
-_SCORES_MULTI = {
-    "dense-ref": 100, "tcp": 70, "process": 60, "threaded": 40, "sim": 30,
-}
-_SCORES_SINGLE = {
-    "dense-ref": 100, "sim": 30, "threaded": 20, "process": 15, "tcp": 10,
-}
+#: engines beat the sequential simulator; single-worker, their setup cost
+#: is pure overhead and the simulator wins the fallback.
+_SCORES_MULTI = {"dense-ref": 100, "tcp": 70, "process": 60, "sim": 30}
+_SCORES_SINGLE = {"dense-ref": 100, "sim": 30, "process": 15, "tcp": 10}
+
+
+def make_engine(name: str, job: Any, *, tcp_hosts: Any = None) -> Any:
+    """Build the backend ``name`` (one of :data:`ENGINES`) for ``job``.
+
+    ``tcp_hosts`` is the tcp backend's endpoints: a list of ``(host,
+    port)`` pairs or a workers-file path; None auto-spawns localhost
+    daemons.  Backends are imported on first use.
+    """
+    if name == "sim":
+        from ..bsp.engine import BSPEngine
+
+        return BSPEngine(job)
+    if name == "process":
+        from ..dist import ProcessBSPEngine
+
+        return ProcessBSPEngine(job)
+    if name == "tcp":
+        from ..net.engine import TcpBSPEngine
+
+        if isinstance(tcp_hosts, str):
+            return TcpBSPEngine(job, workers_file=tcp_hosts)
+        return TcpBSPEngine(job, endpoints=tcp_hosts)
+    if name == "dense-ref":
+        from ..bsp.dense_ref import DenseRefEngine
+
+        return DenseRefEngine(job)
+    raise ValueError(
+        f"unknown engine {name!r}; use one of: {', '.join(ENGINES)}"
+    )
 
 
 @dataclass(frozen=True)
@@ -172,7 +205,7 @@ def select_engine(
         tcp_ok = False
         excluded.append(("tcp", "no worker endpoints configured (--hosts)"))
 
-    eligible = {"sim", "threaded"}
+    eligible = {"sim"}
     if dense_ok:
         eligible.add("dense-ref")
     if fork_ok:
@@ -201,12 +234,7 @@ def select_engine(
     elif winner == "process":
         reasons.append(
             f"picklable program + {num_workers} workers: process "
-            "parallelism beats the GIL-bound engines"
-        )
-    elif winner == "threaded":
-        reasons.append(
-            f"{num_workers} workers but the program cannot fork; "
-            "threads at least overlap engine bookkeeping"
+            "parallelism beats the sequential simulator"
         )
     else:
         reasons.append(
@@ -216,13 +244,13 @@ def select_engine(
 
     hazards: list[str] = []
     if (
-        winner in ("sim", "threaded")
+        winner == "sim"
         and profile is not None
         and getattr(profile, "fanout", None) is FanoutClass.BROADCAST
     ):
         hazards.append(
             "broadcast fan-out routed to a single-process engine "
-            f"({winner}): message volume will not parallelize (RPC022)"
+            "(sim): message volume will not parallelize (RPC022)"
         )
 
     return EngineDecision(

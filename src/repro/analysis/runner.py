@@ -18,7 +18,6 @@ from ..algorithms import bc as bc_mod
 from ..algorithms.apsp import APSPProgram
 from ..algorithms.bc import BCProgram
 from ..algorithms.pagerank import PageRankProgram
-from ..bsp.engine import BSPEngine
 from ..bsp.job import JobResult, JobSpec
 from ..cloud.costmodel import DEFAULT_PERF_MODEL, PerfModel
 from ..cloud.specs import LARGE_VM, VMSpec, scaled_large
@@ -41,7 +40,7 @@ class RunConfig:
     vm_spec: VMSpec = LARGE_VM
     perf_model: PerfModel = DEFAULT_PERF_MODEL
     max_supersteps: int = 100_000
-    #: execution backend: "sim" (sequential), "threaded", "process"
+    #: execution backend: "sim" (sequential), "process"
     #: (real worker processes, repro.dist), "tcp" (worker sessions on
     #: ``repro worker`` daemons, repro.net), "dense-ref" (NumPy
     #: interpreter over the program's static KernelPlan — refuses
@@ -92,29 +91,8 @@ class RunConfig:
         )
 
 
-def _make_engine(cfg: RunConfig, job: JobSpec) -> BSPEngine:
+def _make_engine(cfg: RunConfig, job: JobSpec) -> Any:
     """Instantiate the backend ``cfg.engine`` names for ``job``."""
-    if cfg.engine == "sim":
-        return BSPEngine(job)
-    if cfg.engine == "threaded":
-        from ..bsp.parallel import ThreadedBSPEngine
-
-        return ThreadedBSPEngine(job)
-    if cfg.engine == "process":
-        from ..dist import ProcessBSPEngine
-
-        return ProcessBSPEngine(job)
-    if cfg.engine == "tcp":
-        from ..net.engine import TcpBSPEngine
-
-        hosts = cfg.tcp_hosts
-        if isinstance(hosts, str):
-            return TcpBSPEngine(job, workers_file=hosts)
-        return TcpBSPEngine(job, endpoints=hosts)
-    if cfg.engine == "dense-ref":
-        from ..bsp.dense_ref import DenseRefEngine
-
-        return DenseRefEngine(job)
     if cfg.engine == "auto":
         # the runners resolve "auto" via _resolve_auto before building
         # the job; reaching here means a caller skipped that step
@@ -122,10 +100,9 @@ def _make_engine(cfg: RunConfig, job: JobSpec) -> BSPEngine:
             "engine 'auto' must be resolved by the runner before "
             "_make_engine (see _resolve_auto)"
         )
-    raise ValueError(
-        f"unknown engine {cfg.engine!r}; use 'sim', 'threaded', 'process', "
-        "'tcp', 'dense-ref' or 'auto'"
-    )
+    from .engine_select import make_engine
+
+    return make_engine(cfg.engine, job, tcp_hosts=cfg.tcp_hosts)
 
 
 def _auto_profile(cfg: RunConfig, program) -> Any:

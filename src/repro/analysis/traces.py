@@ -5,13 +5,6 @@ The paper's figures are all per-superstep series; this module serializes a
 archived next to bench output, plotted with any tool, or diffed across
 cost-model revisions.  JSON round-trips losslessly (tests assert it,
 including disk-buffered and jittered runs).
-
-Format history: version 2 added ``disk_time`` and ``jitter_factor`` to
-worker rows and ``injected`` to step rows; version 3 added ``queue_depth``
-(messages buffered for the next superstep, measured at the barrier) to
-worker rows.  :func:`trace_from_dict` still reads version-1 and -2 files;
-the missing fields take their dataclass defaults (no disk I/O, no jitter,
-no injections, empty queues).
 """
 
 from __future__ import annotations
@@ -86,20 +79,18 @@ def trace_to_dict(trace: JobTrace) -> dict:
 
 
 def trace_from_dict(data: dict) -> JobTrace:
-    """Inverse of :func:`trace_to_dict`; reads format versions 1, 2 and 3."""
+    """Inverse of :func:`trace_to_dict`."""
     version = data.get("version")
-    if version not in (1, 2, TRACE_FORMAT_VERSION):
+    if version != TRACE_FORMAT_VERSION:
         raise ValueError(f"unsupported trace version {version!r}")
     if "steps" not in data:
         raise ValueError("not a trace dump: no 'steps' key (is this a spans file?)")
     trace = JobTrace()
     for sd in data["steps"]:
-        stats = SuperstepStats(
-            **{f: sd[f] for f in _STEP_FIELDS if f in sd},
-        )
+        stats = SuperstepStats(**{f: sd[f] for f in _STEP_FIELDS})
         for wd in sd["workers"]:
             stats.workers.append(
-                WorkerStepStats(**{f: wd[f] for f in _WORKER_FIELDS if f in wd})
+                WorkerStepStats(**{f: wd[f] for f in _WORKER_FIELDS})
             )
         trace.append(stats)
     return trace

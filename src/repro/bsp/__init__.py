@@ -13,7 +13,6 @@ from .aggregators import (
 from .combiners import Combiner, MaxCombiner, MinCombiner, SumCombiner
 from .dense_ref import DenseRefEngine, PlanRefusedError, run_job_dense_ref
 from .engine import BSPEngine, SuperstepObserver, run_job
-from .parallel import ThreadedBSPEngine, run_job_threaded
 from .debug import InvariantChecker, MessageRecord, TracingProgram
 from .job import JobResult, JobSpec, RecoveryEvent
 from .superstep import JobTrace, SuperstepStats, WorkerStepStats
@@ -41,8 +40,6 @@ __all__ = [
     "SuperstepObserver",
     "run_job",
     "run_job_process",
-    "ThreadedBSPEngine",
-    "run_job_threaded",
     "InvariantChecker",
     "MessageRecord",
     "TracingProgram",

@@ -37,7 +37,7 @@ __all__ = [
 def run_job_process(job, **engine_kwargs):
     """Run a job on the multiprocess engine (:mod:`repro.dist`).
 
-    Mirror of ``run_job`` / ``run_job_threaded`` for the third backend;
+    Mirror of ``run_job`` for the multiprocess backend;
     the import is lazy so programs that never go multiprocess don't pay
     for it.  ``engine_kwargs`` pass through to
     :class:`~repro.dist.ProcessBSPEngine` (``heartbeat_interval``,
@@ -197,8 +197,8 @@ class VertexProgram(ABC):
     a :attr:`combiner`, and :meth:`aggregators`.
 
     **The vertex-program contract.**  One program instance is shared by
-    every partition worker, and ``ThreadedBSPEngine`` runs workers
-    concurrently, so ``compute()`` must behave as a pure function of
+    every partition worker, and worker order is an engine detail, so
+    ``compute()`` must behave as a pure function of
     ``(ctx, state, messages)`` plus read-only configuration set before the
     run:
 

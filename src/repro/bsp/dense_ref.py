@@ -273,7 +273,10 @@ class DenseRefEngine:
 
     ``plan`` defaults to lifting the job's program from source (via
     :func:`repro.check.vectorize.lift_of`); a refusal raises
-    :class:`PlanRefusedError` with the blocking rule and reason.
+    :class:`PlanRefusedError` with the blocking rule and reason.  Jobs
+    using a feature the executor does not model — checkpoints (and so
+    failure schedules), observers, a timeline — are refused the same way,
+    never run without it; a tracer is allowed.
     Auto-lifted plans run through the static optimizer
     (:func:`repro.check.planopt.optimize_plan`, certified bit-identical
     by the test suite) unless ``optimize=False``; an explicitly passed
@@ -282,6 +285,22 @@ class DenseRefEngine:
 
     def __init__(self, job: JobSpec, plan: "KernelPlan | None" = None,
                  optimize: bool = True):
+        unmodeled = [
+            feature
+            for feature, present in (
+                (f"checkpoint_interval={job.checkpoint_interval} "
+                 "(checkpoints, failure recovery)",
+                 job.checkpoint_interval > 0),
+                (f"{len(job.observers)} observer(s)", bool(job.observers)),
+                ("a timeline", job.timeline is not None),
+            )
+            if present
+        ]
+        if unmodeled:
+            raise PlanRefusedError(
+                "dense-ref does not model " + ", ".join(unmodeled)
+                + "; run the job on sim, process or tcp"
+            )
         self.job = job
         program = job.program
         unwrapped = 0

@@ -257,7 +257,7 @@ class BSPEngine:
                     obs.on_superstep_end(self, stats)
                 if self._master_halt and not failed:
                     if self.timeline is not None:
-                        self.timeline.record_superstep(stats)
+                        self.timeline.append(stats)
                     halted = True
                     self.superstep += 1
                     break
@@ -267,14 +267,14 @@ class BSPEngine:
                     # charged to this step (checkpoint, elastic resize) has
                     # landed in stats.elapsed; failed steps roll back instead.
                     if self.timeline is not None:
-                        self.timeline.record_superstep(stats)
+                        self.timeline.append(stats)
                     self.superstep += 1
                 elif self.timeline is not None and self.superstep > stats.index:
                     # The failure struck after this boundary's checkpoint
                     # already captured the step: recovery resumes *past* it,
                     # so it is committed — record it, with the recovery cost
                     # it absorbed.
-                    self.timeline.record_superstep(stats)
+                    self.timeline.append(stats)
             finally:
                 if span is not None:
                     if stats is not None:
@@ -332,7 +332,8 @@ class BSPEngine:
         )
         for w in self.workers:
             w.begin_superstep(self.superstep, self._agg_values)
-        self._compute_phase()
+        for w in self.workers:
+            w.run_compute()
         if compute_span is not None:
             tracer.end(compute_span)
 
@@ -555,16 +556,6 @@ class BSPEngine:
         self.meter.charge(
             self.job.manager_vm, 1, stats.elapsed, label=f"manager-{stats.index}"
         )
-
-    def _compute_phase(self) -> None:
-        """Run every worker's compute loop (sequential by default).
-
-        :class:`~repro.bsp.parallel.ThreadedBSPEngine` overrides this with a
-        thread pool — safe because workers only touch their own buffers
-        during compute.
-        """
-        for w in self.workers:
-            w.run_compute()
 
     def _post_superstep(self, stats: SuperstepStats) -> None:
         """Hook for subclasses, called after observers at each boundary.

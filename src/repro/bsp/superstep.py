@@ -44,6 +44,11 @@ class WorkerStepStats:
         return self.msgs_out_local + self.msgs_out_remote
 
     @property
+    def comm_time(self) -> float:
+        """Data-plane time: serialization + network + disk buffering."""
+        return self.serialize_time + self.network_time + self.disk_time
+
+    @property
     def busy_time(self) -> float:
         """Compute + I/O time (the paper's 'Compute+I/O' component)."""
         return (
@@ -97,6 +102,16 @@ class SuperstepStats:
         return max((w.elapsed for w in self.workers), default=0.0)
 
     @property
+    def overhead_time(self) -> float:
+        """Time charged beyond the slowest worker, the barrier and restarts:
+        checkpoint writes, recovery restores, elastic stalls."""
+        return max(
+            0.0,
+            self.elapsed - self.slowest_busy - self.barrier_time
+            - self.restart_time,
+        )
+
+    @property
     def compute_calls(self) -> int:
         return sum(w.compute_calls for w in self.workers)
 
@@ -132,6 +147,11 @@ class JobTrace:
 
     # ---- headline scalars ----------------------------------------------
     @property
+    def num_workers(self) -> int:
+        """Widest fleet seen (elastic runs vary per step)."""
+        return max((s.num_workers for s in self.steps), default=0)
+
+    @property
     def total_time(self) -> float:
         """Simulated wall-clock time of the whole job."""
         return sum(s.elapsed for s in self.steps)
@@ -165,13 +185,26 @@ class JobTrace:
         Rows are zero-padded on the right when worker counts differ across
         supersteps (elastic runs).
         """
-        if not self.steps:
-            return np.zeros((0, 0), dtype=np.int64)
-        width = max(s.num_workers for s in self.steps)
-        out = np.zeros((len(self.steps), width), dtype=np.int64)
+        return self.matrix("msgs_out").astype(np.int64)
+
+    def matrix(self, field_name: str) -> np.ndarray:
+        """(steps x workers) matrix of one worker field or property.
+
+        Rows are zero-padded on the right when worker counts differ across
+        supersteps (elastic runs); step order follows the recorded order.
+        """
+        out = np.zeros((len(self.steps), self.num_workers))
         for i, s in enumerate(self.steps):
-            per = s.messages_per_worker
-            out[i, : len(per)] = per
+            for w in s.workers:
+                out[i, w.worker] = getattr(w, field_name)
+        return out
+
+    def per_worker_total(self, field_name: str) -> np.ndarray:
+        """Sum of one worker field or property per worker id."""
+        out = np.zeros(self.num_workers)
+        for s in self.steps:
+            for w in s.workers:
+                out[w.worker] += getattr(w, field_name)
         return out
 
     def series_peak_memory(self) -> np.ndarray:

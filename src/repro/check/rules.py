@@ -421,9 +421,9 @@ class NondeterminismRule(Rule):
 
 class SharedStateWriteRule(Rule):
     """RPC003: one program instance is shared by every partition worker, so
-    writes to ``self``/class/module state from compute() are a cross-worker
-    race under ThreadedBSPEngine (and silently order-dependent even
-    sequentially)."""
+    writes to ``self``/class/module state from compute() leak between
+    workers: the result depends on worker order, and on the process and
+    tcp engines each worker keeps its own diverging copy."""
 
     id = "RPC003"
     severity = Severity.ERROR

@@ -9,7 +9,7 @@ Three cooperating probes, all opt-in (``--sanitize`` or direct API use):
   runtime twin — it also catches mutation through helper calls the static
   pass can't follow).
 * :func:`certify_determinism` — runs the same job at 1 worker (sequential
-  engine) and N workers (:class:`~repro.bsp.parallel.ThreadedBSPEngine`)
+  engine) and N workers (any backend, the sequential engine by default)
   and diffs the ``extract()`` outputs, certifying worker-count
   determinism: the property iPregel-style surveys report silently broken
   by message-order dependence, unseeded randomness, and shared state.
@@ -37,7 +37,6 @@ import numpy as np
 from ..bsp.api import VertexProgram
 from ..bsp.engine import BSPEngine, SuperstepObserver
 from ..bsp.job import JobSpec
-from ..bsp.parallel import ThreadedBSPEngine
 
 __all__ = [
     "SanitizerViolation",
@@ -119,8 +118,7 @@ class SanitizingProgram(VertexProgram):
     """Transparent wrapper detecting in-place mutation of delivered payloads.
 
     The wrapped program's behavior is unchanged; violations accumulate in
-    :attr:`violations` (appends are atomic under the GIL, so the wrapper is
-    safe under :class:`~repro.bsp.parallel.ThreadedBSPEngine`).
+    :attr:`violations`.
     """
 
     def __init__(self, inner: VertexProgram) -> None:
@@ -296,9 +294,9 @@ class DeterminismReport:
     mismatches: list[tuple[int, Any, Any]] = field(default_factory=list)
     total_mismatches: int = 0
     supersteps: tuple[int, int] = (0, 0)
-    #: backend the N-worker run used: "sim", "threaded", "process",
-    #: or "dense-ref"
-    engine: str = "threaded"
+    #: backend the N-worker run used: "sim", "process", "tcp" or
+    #: "dense-ref"
+    engine: str = "sim"
 
     def summary(self) -> str:
         if self.ok:
@@ -320,8 +318,7 @@ def certify_determinism(
     graph,
     num_workers: int = 4,
     *,
-    engine: str = "threaded",
-    threaded: bool = True,
+    engine: str = "sim",
     initially_active: Any = True,
     initial_messages: Sequence[tuple[int, Any]] = (),
     max_supersteps: int = 10_000,
@@ -333,16 +330,15 @@ def certify_determinism(
     """Run at 1 worker and at ``num_workers`` on ``engine``, diff outputs.
 
     ``engine`` picks the N-worker backend: ``"sim"`` (sequential engine,
-    pure partitioning effects), ``"threaded"``
-    (:class:`~repro.bsp.parallel.ThreadedBSPEngine`, adds real
-    concurrency), ``"process"`` (:class:`~repro.dist.ProcessBSPEngine`,
-    adds serialization and real process boundaries), ``"tcp"``
+    pure partitioning effects), ``"process"``
+    (:class:`~repro.dist.ProcessBSPEngine`, adds serialization and real
+    process boundaries), ``"tcp"``
     (:class:`~repro.net.TcpBSPEngine`, adds sockets to auto-spawned
     localhost worker daemons), or ``"dense-ref"``
     (:class:`~repro.bsp.dense_ref.DenseRefEngine`, interprets the
     program's static KernelPlan with NumPy — this is how RPC015 claims
-    are certified).  ``threaded=False`` is the deprecated spelling of
-    ``engine="sim"``.
+    are certified).  :func:`repro.analysis.engine_select.make_engine`
+    builds it.
 
     ``program_factory`` must build a *fresh* program per call — programs may
     carry instance state (converged_at, caches) that must not leak between
@@ -350,10 +346,10 @@ def certify_determinism(
     barrier-order float-sum reassociation is legal BSP behavior; structural
     divergence is not.
     """
+    from ..analysis.engine_select import make_engine  # lazy: analysis imports check
+
     if num_workers < 2:
         raise ValueError("num_workers must be >= 2 to exercise partitioning")
-    if not threaded and engine == "threaded":
-        engine = "sim"  # back-compat: threaded=False meant the sim engine
     kwargs = dict(
         initially_active=initially_active,
         initial_messages=list(initial_messages),
@@ -363,32 +359,12 @@ def certify_determinism(
     ref = BSPEngine(
         JobSpec(program=program_factory(), graph=graph, num_workers=1, **kwargs)
     ).run()
-    if engine == "sim":
-        engine_cls = BSPEngine
-    elif engine == "threaded":
-        engine_cls = ThreadedBSPEngine
-    elif engine == "process":
-        from ..dist import ProcessBSPEngine
-
-        engine_cls = ProcessBSPEngine
-    elif engine == "tcp":
-        from ..net.engine import TcpBSPEngine
-
-        engine_cls = TcpBSPEngine
-    elif engine == "dense-ref":
-        from ..bsp.dense_ref import DenseRefEngine
-
-        engine_cls = DenseRefEngine
-    else:
-        raise ValueError(
-            f"unknown engine {engine!r}; use 'sim', 'threaded', 'process', "
-            "'tcp' or 'dense-ref'"
-        )
-    alt = engine_cls(
+    alt = make_engine(
+        engine,
         JobSpec(
             program=program_factory(), graph=graph, num_workers=num_workers,
             **kwargs,
-        )
+        ),
     ).run()
 
     mismatches: list[tuple[int, Any, Any]] = []
@@ -586,7 +562,7 @@ def _smoke_case(
 ) -> SmokeCase:
     program = SanitizingProgram(program_factory())
     observer = SanitizerObserver(program, metrics=metrics)
-    ThreadedBSPEngine(
+    BSPEngine(
         JobSpec(
             program=program, graph=graph, num_workers=num_workers,
             observers=[observer], **job_kwargs,

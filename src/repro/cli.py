@@ -47,8 +47,9 @@ rides the same sanitizer along a real run and fails it (exit code 1) on
 any violation.
 
 ``run --timeline-out`` records the per-(superstep, worker)
-:class:`~repro.obs.RunTimeline` (rows are byte-identical across
-``--engine sim|threaded|process`` on the same seed) and rides a
+:class:`~repro.obs.RunTimeline`, the committed steps of the job trace
+(byte-identical across ``--engine sim|process|tcp`` on the same seed),
+and rides a
 :class:`~repro.obs.DiagnosticMonitor` along for online straggler flags;
 ``perf report`` renders a saved timeline's critical-path and straggler
 attribution tables, and ``perf diff`` compares two timelines and exits 1
@@ -189,11 +190,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--iterations", type=int, default=30, help="pagerank rounds")
     p.add_argument("--roots", type=int, default=20, help="bc/apsp traversal roots")
+    from .analysis.engine_select import ENGINES
+
     p.add_argument(
         "--engine",
-        choices=["sim", "threaded", "process", "tcp", "dense-ref", "auto"],
+        choices=[*ENGINES, "auto"],
         default="sim",
-        help="execution backend: sequential simulator, thread pool, real "
+        help="execution backend: sequential simulator, real "
              "worker processes (repro.dist), TCP worker daemons "
              "(repro.net — see --hosts/--workers-file), the NumPy "
              "kernel-plan interpreter (refuses programs `repro check "
@@ -646,12 +649,13 @@ def _cmd_run(args) -> int:
                     f"{run.num_swaths} swaths"
                 )
         except PlanRefusedError as exc:
-            # dense-ref gate: the program has no certified kernel plan;
-            # the message carries the blocking rule and source span.
+            # dense-ref gate: the program has no certified kernel plan, or
+            # the job uses a feature dense-ref does not model; the message
+            # names the blocking rule and source span, or the features.
             print(f"repro run: {exc}", file=sys.stderr)
             print(
-                "hint: `repro check --kernel-plan` explains what blocks "
-                "the lift; other engines run this program unchanged",
+                "hint: `repro check --kernel-plan` explains a refused "
+                "lift; other engines run this job unchanged",
                 file=sys.stderr,
             )
             return 1

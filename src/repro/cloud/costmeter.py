@@ -9,13 +9,14 @@ egress — using a :class:`PriceBook` (instance $/hr with billing-grain
 rounding, $/GB egress; Azure-2012 defaults to match :mod:`.specs`).
 
 :func:`attribute_cost` folds a finished run into a :class:`CostReport`;
-it accepts either a :class:`~repro.obs.timeline.RunTimeline` or a raw
-:class:`~repro.bsp.superstep.JobTrace` (duck-typed), so the engine can
-attach a report to every :class:`~repro.bsp.job.JobResult` without
-requiring a timeline sink.  :class:`CostMeter` is the *live* variant: an
-engine observer that accumulates the same attribution superstep by
-superstep and mirrors it into ``repro_cost_*`` gauges on a metrics
-registry, so the dollar burn is visible on ``/metrics`` mid-run.
+it accepts any :class:`~repro.bsp.superstep.JobTrace` — the engine's raw
+trace or a :class:`~repro.obs.timeline.RunTimeline` of its committed
+steps — so the engine can attach a report to every
+:class:`~repro.bsp.job.JobResult` without requiring a timeline sink.
+:class:`CostMeter` is the *live* variant: an engine observer that
+accumulates the same attribution superstep by superstep and mirrors it
+into ``repro_cost_*`` gauges on a metrics registry, so the dollar burn is
+visible on ``/metrics`` mid-run.
 
 Invariant (tested): the per-superstep attributions sum *exactly* to the
 report total — the billing-grain rounding surcharge is distributed
@@ -117,48 +118,6 @@ class CostReport:
         )
 
 
-def _steps_and_rows(source: Any) -> list[tuple[int, int, float, list]]:
-    """Normalize a RunTimeline or JobTrace into attribution inputs.
-
-    Returns ``[(superstep, num_workers, elapsed, rows)]`` where each row
-    is ``(worker, elapsed, bytes_out)``.  Duck-typed on the two shapes:
-    a timeline has ``steps`` of ``StepMeta`` + flat ``rows``; a job
-    trace has ``steps`` of ``SuperstepStats`` with nested ``workers``.
-    """
-    steps = getattr(source, "steps", None)
-    if steps is None:
-        raise TypeError(
-            f"cannot attribute cost over {type(source).__name__}: "
-            "expected a RunTimeline or JobTrace"
-        )
-    out: list[tuple[int, int, float, list]] = []
-    if hasattr(source, "rows"):  # RunTimeline
-        by_step: dict[int, list] = {}
-        for row in source.rows:
-            by_step.setdefault(int(row.superstep), []).append(
-                (int(row.worker), float(row.elapsed), float(row.bytes_out))
-            )
-        for meta in steps:
-            out.append((
-                int(meta.superstep),
-                int(meta.num_workers),
-                float(meta.elapsed),
-                by_step.get(int(meta.superstep), []),
-            ))
-    else:  # JobTrace
-        for stats in steps:
-            out.append((
-                int(stats.index),
-                int(stats.num_workers),
-                float(stats.elapsed),
-                [
-                    (int(w.worker), float(w.elapsed), float(w.bytes_out))
-                    for w in stats.workers
-                ],
-            ))
-    return out
-
-
 def attribute_cost(
     source: Any,
     worker_vm: VMSpec = LARGE_VM,
@@ -174,8 +133,17 @@ def attribute_cost(
     A positive billing grain rounds each VM's *whole-run* allocation up;
     the surcharge is then spread over steps pro-rata by elapsed time so
     the per-step column still sums exactly to the total.
+
+    ``source`` is a :class:`~repro.bsp.superstep.JobTrace` — the engine's
+    whole trace, or a :class:`~repro.obs.timeline.RunTimeline` of its
+    committed steps.
     """
-    steps = _steps_and_rows(source)
+    steps = getattr(source, "steps", None)
+    if steps is None:
+        raise TypeError(
+            f"cannot attribute cost over {type(source).__name__}: "
+            "expected a JobTrace or RunTimeline"
+        )
     w_rate = prices.rate_per_second(worker_vm)
     m_rate = prices.rate_per_second(manager_vm)
 
@@ -185,13 +153,15 @@ def attribute_cost(
     total_compute = total_manager = total_egress = 0.0
     run_seconds = 0.0
     max_workers = 0
-    for index, num_workers, elapsed, rows in steps:
+    for step in steps:
+        num_workers = int(step.num_workers)
+        elapsed = float(step.elapsed)
         compute = num_workers * elapsed * w_rate
         manager = elapsed * m_rate
-        step_bytes = sum(b for _, _, b in rows)
+        step_bytes = sum(float(w.bytes_out) for w in step.workers)
         egress = prices.egress_cost(step_bytes)
         per_step.append({
-            "superstep": index,
+            "superstep": int(step.index),
             "elapsed": elapsed,
             "workers": num_workers,
             "compute": compute,
@@ -204,12 +174,15 @@ def attribute_cost(
         total_egress += egress
         run_seconds += elapsed
         max_workers = max(max_workers, num_workers)
-        for worker, _w_elapsed, w_bytes in rows:
+        for w in step.workers:
             # Billed for the barrier-synchronized step, not own busy time.
+            worker = int(w.worker)
             worker_seconds[worker] = (
                 worker_seconds.get(worker, 0.0) + elapsed
             )
-            worker_egress[worker] = worker_egress.get(worker, 0.0) + w_bytes
+            worker_egress[worker] = (
+                worker_egress.get(worker, 0.0) + float(w.bytes_out)
+            )
 
     # Billing-grain surcharge: each instance's run allocation rounds up.
     rounding = 0.0

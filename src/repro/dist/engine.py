@@ -7,7 +7,7 @@ sequential :class:`~repro.bsp.engine.BSPEngine`, but with every
 :class:`~repro.bsp.worker.PartitionWorker` hosted behind a pluggable
 :class:`~repro.net.transport.Transport`, the way Pregel.NET runs workers
 as real processes on Azure VMs (§III).  Pure-Python ``compute()`` escapes
-the GIL ceiling that caps :class:`~repro.bsp.parallel.ThreadedBSPEngine`.
+the GIL: workers compute in parallel.
 
 Architecture (the paper's job-manager/worker split, §III):
 
@@ -845,5 +845,5 @@ class ProcessBSPEngine(BSPEngine):
 
 
 def run_job_process(job: JobSpec, **engine_kwargs: Any) -> JobResult:
-    """Convenience mirror of ``run_job`` / ``run_job_threaded``."""
+    """Convenience mirror of ``run_job``."""
     return ProcessBSPEngine(job, **engine_kwargs).run()

@@ -17,9 +17,10 @@ engine stack reports into:
   emitting throttled live progress lines to stderr;
 * :mod:`repro.obs.summary` — utilization/breakdown tables from saved
   traces (backs ``repro trace summarize``);
-* :mod:`repro.obs.timeline` — :class:`RunTimeline`, the structured
-  per-(superstep, worker) attribution record, byte-identical across
-  execution backends and rolled back with failure recovery;
+* :mod:`repro.obs.timeline` — :class:`RunTimeline`, the committed-steps
+  view of the job trace (per-(superstep, worker) attribution),
+  byte-identical across execution backends and rolled back with failure
+  recovery;
 * :mod:`repro.obs.diagnose` — straggler/skew detection with cause
   attribution (:class:`DiagnosticMonitor`) and critical-path breakdown;
 * :mod:`repro.obs.perf` — timeline report/diff rendering (backs
@@ -96,8 +97,6 @@ from .summary import summarize_events, summarize_spans, summarize_trace
 from .sync import apply_snapshot, delta_snapshot, snapshot_registry
 from .timeline import (
     RunTimeline,
-    StepMeta,
-    TimelineRow,
     read_timeline,
     timeline_from_dict,
     timeline_to_dict,
@@ -124,8 +123,6 @@ __all__ = [
     "delta_snapshot",
     "apply_snapshot",
     "RunTimeline",
-    "TimelineRow",
-    "StepMeta",
     "read_timeline",
     "timeline_to_dict",
     "timeline_from_dict",

@@ -1,11 +1,11 @@
 """Straggler/skew attribution and critical-path analysis over timelines.
 
 The paper's §V-§VII diagnosis questions — *which worker is pacing the
-barrier, and why* — answered online.  Works on anything row-shaped like
-:class:`~repro.obs.timeline.TimelineRow` (the engine's live
-:class:`~repro.bsp.superstep.WorkerStepStats` qualify), so the same code
-runs inside the job as a superstep observer and offline over a saved
-timeline (``repro perf report``).
+barrier, and why* — answered online.  Works on the engine's own
+:class:`~repro.bsp.superstep.SuperstepStats` (a saved timeline loads back
+into the same objects), so the same code runs inside the job as a
+superstep observer and offline over a saved timeline
+(``repro perf report``).
 
 Detection: per superstep, the MAD modified z-score of per-worker elapsed
 times (z = 0.6745·(x−med)/MAD — robust to the one straggler it is looking
@@ -74,17 +74,13 @@ class StragglerFlag:
         )
 
 
-def _comm_time(row) -> float:
-    return row.serialize_time + row.network_time + row.disk_time
-
-
 def _attribute(row, rows, degree_share) -> tuple[str, str]:
     """Why is this row slow? Most specific recorded cause wins."""
     if row.jitter_factor > 1.0 + _FACTOR_EPS:
         return "jitter", f"jitter_factor={row.jitter_factor:.2f}"
     if row.mem_slowdown > 1.0 + _FACTOR_EPS:
         return "memory-pressure", f"mem_slowdown={row.mem_slowdown:.2f}"
-    comm = _comm_time(row)
+    comm = row.comm_time
     busy = row.compute_time + comm
     if busy <= 0:
         return "unknown", "no recorded activity"
@@ -115,17 +111,18 @@ def _attribute(row, rows, degree_share) -> tuple[str, str]:
 
 
 def flag_stragglers_step(
-    rows: Sequence,
+    step,
     mad_threshold: float = 3.5,
     min_ratio: float = 1.2,
     degree_share=None,
 ) -> list[StragglerFlag]:
-    """Flag stragglers among one superstep's per-worker rows.
+    """Flag stragglers among one superstep's workers.
 
-    ``rows`` duck-type :class:`~repro.obs.timeline.TimelineRow`;
+    ``step`` is a :class:`~repro.bsp.superstep.SuperstepStats`;
     ``degree_share`` is the optional per-worker fraction of total
     out-degree hosted (for degree-skew attribution).
     """
+    rows = step.workers
     if len(rows) < 2:
         return []
     elapsed = np.array([r.elapsed for r in rows])
@@ -144,7 +141,7 @@ def flag_stragglers_step(
         cause, detail = _attribute(r, rows, degree_share)
         flags.append(
             StragglerFlag(
-                superstep=r.superstep if hasattr(r, "superstep") else -1,
+                superstep=step.index,
                 worker=r.worker,
                 ratio=ratio,
                 z=float(z),
@@ -166,7 +163,7 @@ def attribute_run(
     for step in timeline.steps:
         flags.extend(
             flag_stragglers_step(
-                timeline.rows_of_step(step.superstep),
+                step,
                 mad_threshold=mad_threshold,
                 min_ratio=min_ratio,
                 degree_share=degree_share,
@@ -243,17 +240,12 @@ class DiagnosticMonitor:
         worst = max(elapsed) / med if med > 0 else 1.0
         self._skew += self.ema_alpha * (worst - self._skew)
         step_flags = flag_stragglers_step(
-            rows,
+            stats,
             mad_threshold=self.mad_threshold,
             min_ratio=self.min_ratio,
             degree_share=self._degree_share,
         )
         for f in step_flags:
-            # The live stats rows don't know their superstep index.
-            f = StragglerFlag(
-                superstep=stats.index, worker=f.worker, ratio=f.ratio,
-                z=f.z, cause=f.cause, detail=f.detail,
-            )
             self.flags.append(f)
             if self._metrics is not None:
                 self._metrics.counter(
@@ -304,12 +296,12 @@ def critical_path(timeline) -> dict[str, float]:
     skew_wait = 0.0
     allocated = busy = 0.0
     for step in timeline.steps:
-        rows = timeline.rows_of_step(step.superstep)
+        rows = step.workers
         slowest = max(rows, key=lambda r: r.elapsed, default=None)
         if slowest is not None and slowest.busy_time > 0:
             stretch = slowest.mem_slowdown * slowest.jitter_factor
             compute += slowest.compute_time * stretch
-            comm += _comm_time(slowest) * stretch
+            comm += slowest.comm_time * stretch
             pace = slowest.elapsed
         else:
             pace = 0.0

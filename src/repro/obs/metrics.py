@@ -18,10 +18,10 @@ Design points, mirrored from the Prometheus client-library data model:
 * histograms use *fixed* bucket boundaries chosen at creation, recorded
   cumulatively at export time (Prometheus ``le`` semantics);
 * every mutation (``inc``/``set``/``observe``) takes the instrument's own
-  lock, so engines that update instruments from worker threads
-  (:class:`~repro.bsp.parallel.ThreadedBSPEngine`'s pooled compute tasks)
-  need no serialize-after-join workaround — matching the Prometheus client
-  libraries, which are thread-safe by contract.
+  lock, so code that updates instruments from other threads (heartbeat
+  monitors, the live server) needs no serialize-after-join workaround —
+  matching the Prometheus client libraries, which are thread-safe by
+  contract.
 
 Everything is plain Python with no engine imports, so the registry can be
 used standalone (tests do) and the engine only ever talks to it through

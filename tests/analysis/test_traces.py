@@ -150,37 +150,12 @@ class TestFullFieldFidelity:
         assert "queue_depth" in data["steps"][0]["workers"][0]
         assert "injected" in data["steps"][0]
 
-    def test_version_2_files_still_read(self, rich_trace):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_versions_rejected(self, rich_trace, version):
         data = trace_to_dict(rich_trace)
-        data["version"] = 2
-        for sd in data["steps"]:
-            for wd in sd["workers"]:
-                wd.pop("queue_depth")
-        back = trace_from_dict(data)
-        assert len(back) == len(rich_trace)
-        assert all(w.queue_depth == 0 for s in back for w in s.workers)
-        assert back.total_time == pytest.approx(rich_trace.total_time)
-
-    def test_version_1_files_still_read(self, rich_trace):
-        data = trace_to_dict(rich_trace)
-        data["version"] = 1
-        for sd in data["steps"]:
-            sd.pop("injected")
-            for wd in sd["workers"]:
-                wd.pop("disk_time")
-                wd.pop("jitter_factor")
-                wd.pop("queue_depth")
-        back = trace_from_dict(data)
-        assert len(back) == len(rich_trace)
-        # the dropped fields come back as their dataclass defaults
-        assert all(s.injected == 0 for s in back)
-        assert all(w.disk_time == 0.0 for s in back for w in s.workers)
-        assert all(w.jitter_factor == 1.0 for s in back for w in s.workers)
-        # everything else is preserved
-        assert back.total_time == pytest.approx(rich_trace.total_time)
-        assert np.array_equal(
-            back.series_messages(), rich_trace.series_messages()
-        )
+        data["version"] = version
+        with pytest.raises(ValueError, match="unsupported trace version"):
+            trace_from_dict(data)
 
     def test_csv_includes_new_columns(self, rich_trace):
         header = to_csv_text(rich_trace).splitlines()[0].split(",")

@@ -27,6 +27,7 @@ from repro.bsp.dense_ref import (
 )
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
+from repro.obs import RunTimeline, SpanTracer
 
 
 def _equivalent(ref, dense, rel_tol=1e-9, abs_tol=1e-12):
@@ -158,6 +159,40 @@ def test_peel_plan_refuses_injected_messages():
                 initial_messages=[(0, (1, 2))],
             )
         )
+
+
+@pytest.mark.parametrize(
+    "kwargs, named",
+    [
+        (dict(checkpoint_interval=3, failure_schedule={4: 1}),
+         ["checkpoint_interval=3"]),
+        (dict(checkpoint_interval=2), ["checkpoint_interval=2"]),
+        (dict(observers=[object()]), ["1 observer(s)"]),
+        (dict(timeline=RunTimeline()), ["a timeline"]),
+        (dict(checkpoint_interval=3, observers=[object()],
+              timeline=RunTimeline()),
+         ["checkpoint_interval=3", "1 observer(s)", "a timeline"]),
+    ],
+    ids=["failure", "checkpoint", "observer", "timeline", "all"],
+)
+def test_unmodeled_job_features_are_refused(directed, kwargs, named):
+    # Sim recovers from the failure and records the timeline; dense-ref
+    # used to run the same job with 0 recoveries and an empty timeline.
+    job = JobSpec(program=PageRankProgram(6), graph=directed, num_workers=1,
+                  **kwargs)
+    with pytest.raises(PlanRefusedError, match="dense-ref does not model") \
+            as exc:
+        DenseRefEngine(job)
+    for feature in named:
+        assert feature in str(exc.value)
+
+
+def test_tracer_is_allowed(directed):
+    res = DenseRefEngine(
+        JobSpec(program=PageRankProgram(6), graph=directed, num_workers=1,
+                tracer=SpanTracer())
+    ).run()
+    assert res.supersteps > 0
 
 
 def test_run_job_dense_ref_helper(directed):

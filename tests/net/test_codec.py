@@ -1,8 +1,7 @@
 """The shared frame codec: round-trips, malformed input, stream framing.
 
-Satellite contract: the codec extracted from repro.dist.frames is
-transport-agnostic (both backends import this one module), rejects
-truncated/oversized/trailing-garbage frames with a typed
+Contract: the codec is transport-agnostic (both backends import this one
+module), rejects truncated/oversized/trailing-garbage frames with a typed
 :class:`FrameError`, and reassembles frames from arbitrary byte-stream
 chunk boundaries.
 """
@@ -135,14 +134,6 @@ class TestStreamFraming:
 
 
 class TestDistShim:
-    def test_dist_frames_reexports_the_codec(self):
-        from repro.dist import frames
-        from repro.net import codec
-
-        assert frames.pack_frame is codec.pack_frame
-        assert frames.unpack_frame is codec.unpack_frame
-        assert frames.FrameError is codec.FrameError
-
     def test_dist_package_exports_survive(self):
         # The original import surface (tests, user code) keeps working.
         from repro.dist import FrameError, pack_frame, unpack_frame

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.algorithms import PageRankProgram
-from repro.bsp import JobSpec, run_job
+from repro.bsp import JobSpec, SuperstepStats, WorkerStepStats, run_job
 from repro.cloud.costmodel import DEFAULT_PERF_MODEL
 from repro.graph import generators as gen
 from repro.obs import (
@@ -19,49 +19,53 @@ from repro.obs import (
     worker_skew,
 )
 from repro.obs.diagnose import dominant_cause
-from repro.obs.timeline import TimelineRow
 from repro.partition.advisor import repartition_hint
 
 
 def row(worker, compute=1.0, serialize=0.0, network=0.0, jitter=1.0,
-        mem=1.0, calls=100, remote=10, msgs_in=10, superstep=0):
-    return TimelineRow(
-        superstep=superstep, worker=worker, compute_calls=calls,
+        mem=1.0, calls=100, remote=10, msgs_in=10):
+    return WorkerStepStats(
+        worker=worker, compute_calls=calls,
         msgs_in=msgs_in, msgs_out_local=10, msgs_out_remote=remote,
         compute_time=compute, serialize_time=serialize,
         network_time=network, mem_slowdown=mem, jitter_factor=jitter,
     )
 
 
+def step(rows, index=0):
+    return SuperstepStats(index=index, num_workers=len(rows), workers=rows)
+
+
 class TestFlagging:
     def test_balanced_fleet_never_flags(self):
-        assert flag_stragglers_step([row(w) for w in range(4)]) == []
+        assert flag_stragglers_step(step([row(w) for w in range(4)])) == []
 
     def test_single_worker_never_flags(self):
-        assert flag_stragglers_step([row(0, compute=99.0)]) == []
+        assert flag_stragglers_step(step([row(0, compute=99.0)])) == []
 
     def test_outlier_flagged_with_ratio(self):
         rows = [row(0), row(1), row(2), row(3, compute=2.0)]
-        flags = flag_stragglers_step(rows)
+        flags = flag_stragglers_step(step(rows, index=5))
         assert len(flags) == 1
+        assert flags[0].superstep == 5
         assert flags[0].worker == 3
         assert flags[0].ratio == pytest.approx(2.0)
 
     def test_small_wobble_below_min_ratio_ignored(self):
         rows = [row(0), row(1), row(2), row(3, compute=1.1)]
-        assert flag_stragglers_step(rows, min_ratio=1.2) == []
+        assert flag_stragglers_step(step(rows), min_ratio=1.2) == []
 
     def test_mad_threshold_suppresses_noisy_fleets(self):
         # A spread-out fleet: the max is < min_ratio of the median anyway,
         # but with a large MAD even a 1.3x worker is unremarkable.
         rows = [row(0, compute=0.5), row(1, compute=1.0),
                 row(2, compute=1.5), row(3, compute=1.3)]
-        assert flag_stragglers_step(rows, min_ratio=1.1) == []
+        assert flag_stragglers_step(step(rows), min_ratio=1.1) == []
 
 
 class TestAttribution:
     def flags_for(self, rows, **kw):
-        return flag_stragglers_step(rows, **kw)
+        return flag_stragglers_step(step(rows), **kw)
 
     def test_jitter_wins_over_everything(self):
         rows = [row(0), row(1), row(2), row(3, jitter=2.0, mem=1.5)]
@@ -112,7 +116,7 @@ class TestRepartitionHint:
                 row(3, compute=0.2, network=1.5, remote=500, msgs_in=500),
             ],
         }[cause]
-        return flag_stragglers_step(rows) * n
+        return flag_stragglers_step(step(rows)) * n
 
     def test_hint_matches_cause(self):
         flags = self.make_flags("remote-traffic", 5)

@@ -66,15 +66,12 @@ class TestReport:
 def slow_compute_copy(tl, factor=2.0):
     """A doctored timeline whose every row computes ``factor`` x slower."""
     doctored = timeline_from_dict(copy.deepcopy(tl.to_dict()))
-    for r in doctored.rows:
-        r.compute_time *= factor
     sim = 0.0
     for s in doctored.steps:
-        slowest = max(
-            (r.elapsed for r in doctored.rows_of_step(s.superstep)),
-            default=0.0,
-        )
-        s.elapsed = slowest + s.barrier_time + s.restart_time + s.overhead_time
+        overhead = s.overhead_time  # derived: read before the rows change
+        for w in s.workers:
+            w.compute_time *= factor
+        s.elapsed = s.slowest_busy + s.barrier_time + s.restart_time + overhead
         sim += s.elapsed
         s.sim_time_end = sim
     return doctored

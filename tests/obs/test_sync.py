@@ -78,8 +78,8 @@ class TestSnapshotRoundtrip:
 
 
 class TestThreadSafety:
-    """The ThreadedBSPEngine contract: instrument mutation (and lazy
-    creation through the registry) is safe from pooled worker threads."""
+    """Instrument mutation (and lazy creation through the registry) is
+    safe from concurrent threads (heartbeat monitors, the live server)."""
 
     THREADS = 8
     ITERS = 2000
