@@ -99,7 +99,8 @@ class VertexContext:
     """Per-``compute()`` view of one vertex, provided by the worker.
 
     The worker reuses a single context object across vertices for allocation
-    hygiene; programs must not retain references across calls.
+    hygiene and sets its fields before each compute() call; programs must
+    not retain references across calls.
     """
 
     __slots__ = ("_worker", "_vertex", "_superstep", "_halted_flag")
@@ -108,13 +109,6 @@ class VertexContext:
         self._worker = None
         self._vertex = -1
         self._superstep = -1
-        self._halted_flag = False
-
-    # Wired by the worker before each compute() call.
-    def _bind(self, worker, vertex: int, superstep: int) -> None:
-        self._worker = worker
-        self._vertex = vertex
-        self._superstep = superstep
         self._halted_flag = False
 
     # ------------------------------------------------------------------
@@ -151,14 +145,12 @@ class VertexContext:
     # ------------------------------------------------------------------
     def send(self, dst: int, payload: Any) -> None:
         """Send ``payload`` to vertex ``dst``; delivered next superstep."""
-        self._worker.emit(self._vertex, int(dst), payload)
+        self._worker.emit((int(dst),), payload)
 
     def send_to_neighbors(self, payload: Any) -> None:
         """Send ``payload`` along every (current) out-edge."""
-        emit = self._worker.emit
-        v = self._vertex
-        for u in self._worker.effective_neighbors(v):
-            emit(v, int(u), payload)
+        worker = self._worker
+        worker.emit(worker.neighbor_list(self._vertex), payload)
 
     def vote_to_halt(self) -> None:
         """Deactivate this vertex until a message re-awakens it."""

@@ -15,6 +15,7 @@ inject control-plane activation messages and keep the job alive via
 
 from __future__ import annotations
 
+import copy
 from time import perf_counter
 from typing import Any
 
@@ -348,11 +349,11 @@ class BSPEngine:
         for w in self.workers:
             w.stats.peers_out = len(w.out_remote)
             for dst_worker, per_vertex in sorted(w.out_remote.items()):
-                target = self.workers[dst_worker]
-                for dst_v, payloads in per_vertex.items():
-                    wire = target.deliver_remote(dst_v, payloads)
-                    recv_bytes[dst_worker] += wire
-                    recv_msgs[dst_worker] += len(payloads)
+                msgs, wire = self.workers[dst_worker].deliver_remote(
+                    per_vertex.items()
+                )
+                recv_bytes[dst_worker] += wire
+                recv_msgs[dst_worker] += msgs
                 peers_in[dst_worker].add(w.worker_id)
             w.stats.bytes_out = w.out_remote_wire_bytes
         if flush_span is not None:
@@ -583,17 +584,22 @@ class BSPEngine:
         )
 
     def _capture_checkpoint(self, superstep: int) -> dict:
-        """Snapshot every worker's state; ``superstep`` is the resume point."""
+        """Snapshot every worker's state; ``superstep`` is the resume point.
+
+        Workers snapshot by reference; this deep copy is the checkpoint's
+        one copy."""
         return {
             "superstep": superstep,
             "agg_values": dict(self._agg_values),
-            "workers": [w.snapshot() for w in self.workers],
+            "workers": copy.deepcopy([w.snapshot() for w in self.workers]),
         }
 
     def _restore_checkpoint(self) -> None:
         """Reload every worker from :attr:`_checkpoint` (the mechanics only;
-        timing/metering live in :meth:`_recover`)."""
-        for w, snap in zip(self.workers, self._checkpoint["workers"]):
+        timing/metering live in :meth:`_recover`).  Workers adopt a fresh
+        copy, so the checkpoint itself stays intact for a later rollback."""
+        snaps = copy.deepcopy(self._checkpoint["workers"])
+        for w, snap in zip(self.workers, snaps):
             w.restore(snap)
 
     def _fail_worker(self, worker_id: int) -> None:

@@ -13,7 +13,7 @@ All resource accounting (operation counts, buffered bytes) happens here with
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -43,7 +43,7 @@ class PartitionWorker:
         self.graph = graph
         self.program = program
         self.model = model
-        self.assignment = assignment  # vertex -> worker map (shared, read-only)
+        self.assignment = assignment
         self.vertex_ids = np.sort(np.asarray(vertex_ids, dtype=np.int64))
 
         # Per-vertex program state and accounting.
@@ -66,6 +66,7 @@ class PartitionWorker:
         self.in_cur: dict[int, list] = {}
         self.in_next: dict[int, list] = {}
         self.in_next_payload_bytes = 0.0
+        self.in_next_count = 0  # messages in in_next (post-combine)
 
         # Remote out buffers for the running superstep:
         # dst_worker -> dst_vertex -> list (or combined single payload).
@@ -91,6 +92,9 @@ class PartitionWorker:
         self._overlay: dict[int, list[int]] = {}
         self._pending_mutations: list[tuple[int, str, int]] = []
         self.overlay_bytes = 0
+        # Out-neighbor lists of hosted vertices as Python ints, built on
+        # first send: the emit loop then indexes lists, never NumPy.
+        self._nbrs: dict[int, list[int]] = {}
 
         self._ctx = VertexContext()
         self.stats = WorkerStepStats(worker=worker_id)
@@ -111,6 +115,17 @@ class PartitionWorker:
             self._m_compute_calls = None
             self._m_msgs_in = None
 
+    @property
+    def assignment(self) -> np.ndarray:
+        """Vertex -> worker map (shared with the engine, read-only here)."""
+        return self._assignment
+
+    @assignment.setter
+    def assignment(self, assignment: np.ndarray) -> None:
+        # Repartitioning reassigns this; the routing list follows.
+        self._assignment = assignment
+        self._owner: list[int] = np.asarray(assignment).tolist()
+
     # ------------------------------------------------------------------
     # Superstep lifecycle
     # ------------------------------------------------------------------
@@ -120,6 +135,7 @@ class PartitionWorker:
         self.in_cur = self.in_next
         self.in_next = {}
         self.in_next_payload_bytes = 0.0
+        self.in_next_count = 0
         self.out_remote = {}
         self.out_remote_wire_bytes = 0.0
         self._agg_previous = agg_previous
@@ -137,21 +153,33 @@ class PartitionWorker:
 
     def run_compute(self) -> None:
         """Run compute() for every active/messaged vertex of the partition."""
-        program = self.program
+        compute = self.program.compute
+        state_nbytes = self.program.state_nbytes
+        states = self.states
+        state_bytes = self._state_bytes
+        halted = self.halted
+        in_cur = self.in_cur
         ctx = self._ctx
-        superstep = self._superstep
+        ctx._worker = self
+        ctx._superstep = self._superstep
+        total_state_bytes = self.total_state_bytes
+        calls = msgs_in = 0
         for v in self.compute_set():
-            msgs = self.in_cur.pop(v, ())
-            ctx._bind(self, v, superstep)
-            new_state = program.compute(ctx, self.states[v], msgs)
-            self.states[v] = new_state
-            nb = int(program.state_nbytes(new_state))
-            self.total_state_bytes += nb - self._state_bytes[v]
-            self._state_bytes[v] = nb
-            self.halted[v] = ctx._halted_flag
-            self.stats.compute_calls += 1
-            self.stats.msgs_in += len(msgs)
+            msgs = in_cur.pop(v, ())
+            ctx._vertex = v
+            ctx._halted_flag = False
+            new_state = compute(ctx, states[v], msgs)
+            states[v] = new_state
+            nb = int(state_nbytes(new_state))
+            total_state_bytes += nb - state_bytes[v]
+            state_bytes[v] = nb
+            halted[v] = ctx._halted_flag
+            calls += 1
+            msgs_in += len(msgs)
+        self.total_state_bytes = total_state_bytes
         self.in_cur = {}
+        self.stats.compute_calls += calls
+        self.stats.msgs_in += msgs_in
         if self._m_compute_calls is not None:
             self._m_compute_calls.inc(self.stats.compute_calls)
             self._m_msgs_in.inc(self.stats.msgs_in)
@@ -164,6 +192,16 @@ class PartitionWorker:
         if v in self._overlay:
             return np.asarray(self._overlay[v], dtype=np.int64)
         return self.graph.neighbors(v)
+
+    def neighbor_list(self, v: int) -> list[int]:
+        """Out-neighbors of hosted vertex ``v`` as a list of ints (the
+        overlay's own list for mutated vertices; do not modify)."""
+        lst = self._overlay.get(v)
+        if lst is None:
+            lst = self._nbrs.get(v)
+            if lst is None:
+                lst = self._nbrs[v] = self.graph.neighbors(v).tolist()
+        return lst
 
     def effective_out_degree(self, v: int) -> int:
         if v in self._overlay:
@@ -209,53 +247,106 @@ class PartitionWorker:
         self._pending_mutations = []
 
     # ------------------------------------------------------------------
-    # Message routing (called from VertexContext.send)
+    # Message routing (called from VertexContext.send/send_to_neighbors)
     # ------------------------------------------------------------------
-    def emit(self, src: int, dst: int, payload: Any) -> None:
-        if not 0 <= dst < self.graph.num_vertices:
-            raise ValueError(f"message to unknown vertex {dst}")
-        dst_worker = int(self.assignment[dst])
+    def emit(self, dsts: Sequence[int], payload: Any) -> None:
+        """Send one ``payload`` to each vertex of ``dsts``, in order.
+
+        Local messages go to the next superstep's input buffer, remote ones
+        to the bucket of their destination worker.  With a combiner, a
+        message to a vertex that already has one buffered folds into it.
+        The payload is sized once for the whole batch.  An unknown
+        destination raises ``ValueError``; the messages routed before it
+        stay buffered and counted, as if each had been sent on its own.
+        """
+        owner = self._owner
+        n = len(owner)
+        me = self.worker_id
+        in_next = self.in_next
+        out_remote = self.out_remote
         combiner = self.program.combiner
+        combine = combiner.combine if combiner is not None else None
         # Counters track *post-combine* messages — what is actually buffered
         # and transferred, the quantity the paper plots; combining folds an
         # emit into an existing buffered message at no extra cost.
-        if dst_worker == self.worker_id:
-            box = self.in_next.setdefault(dst, [])
-            if combiner is not None and box:
-                box[0] = combiner.combine(box[0], payload)
-            else:
-                box.append(payload)
-                self.in_next_payload_bytes += self.program.payload_nbytes(payload)
-                self.stats.msgs_out_local += 1
-        else:
-            bucket = self.out_remote.setdefault(dst_worker, {})
-            box = bucket.setdefault(dst, [])
-            if combiner is not None and box:
-                box[0] = combiner.combine(box[0], payload)
-            else:
-                box.append(payload)
-                self.out_remote_wire_bytes += self.model.message_wire_bytes(
-                    self.program.payload_nbytes(payload)
-                )
-                self.stats.msgs_out_remote += 1
+        local = remote = 0
+        try:
+            for dst in dsts:
+                if not 0 <= dst < n:
+                    raise ValueError(f"message to unknown vertex {dst}")
+                dw = owner[dst]
+                if dw == me:
+                    box = in_next.get(dst)
+                    if box is None:
+                        in_next[dst] = [payload]
+                        local += 1
+                    elif combine is not None and box:
+                        box[0] = combine(box[0], payload)
+                    else:
+                        box.append(payload)
+                        local += 1
+                else:
+                    bucket = out_remote.get(dw)
+                    if bucket is None:
+                        bucket = out_remote[dw] = {}
+                    box = bucket.get(dst)
+                    if box is None:
+                        bucket[dst] = [payload]
+                        remote += 1
+                    elif combine is not None:
+                        box[0] = combine(box[0], payload)
+                    else:
+                        box.append(payload)
+                        remote += 1
+        finally:
+            if local or remote:
+                size = self.program.payload_nbytes(payload)
+                stats = self.stats
+                if local:
+                    self.in_next_payload_bytes += size * local
+                    self.in_next_count += local
+                    stats.msgs_out_local += local
+                if remote:
+                    self.out_remote_wire_bytes += (
+                        self.model.message_wire_bytes(size) * remote
+                    )
+                    stats.msgs_out_remote += remote
 
-    def deliver_remote(self, dst: int, payloads: list) -> float:
-        """Accept a batch of remote messages for local vertex ``dst``.
+    def deliver_remote(
+        self, items: Iterable[tuple[int, list]]
+    ) -> tuple[int, float]:
+        """Accept one source worker's bucket of messages for this worker.
 
-        Returns the wire bytes received (for the engine's traffic matrix).
-        With a combiner, arriving payloads fold into the buffered one.
+        ``items`` are ``(dst, payloads)`` pairs in emission order.  With a
+        combiner, arriving payloads fold into the buffered one.  Returns
+        the messages received and their wire bytes (for the engine's
+        traffic matrix).
         """
         combiner = self.program.combiner
-        box = self.in_next.setdefault(dst, [])
+        combine = combiner.combine if combiner is not None else None
+        payload_nbytes = self.program.payload_nbytes
+        wire_bytes = self.model.message_wire_bytes
+        in_next = self.in_next
+        messages = appended = 0
+        appended_bytes = 0
         wire = 0.0
-        for p in payloads:
-            wire += self.model.message_wire_bytes(self.program.payload_nbytes(p))
-            if combiner is not None and box:
-                box[0] = combiner.combine(box[0], p)
-            else:
-                box.append(p)
-                self.in_next_payload_bytes += self.program.payload_nbytes(p)
-        return wire
+        for dst, payloads in items:
+            box = in_next.get(dst)
+            if box is None:
+                box = in_next[dst] = []
+            for p in payloads:
+                nb = payload_nbytes(p)
+                wire += wire_bytes(nb)
+                if combine is not None and box:
+                    box[0] = combine(box[0], p)
+                else:
+                    box.append(p)
+                    appended += 1
+                    appended_bytes += nb
+            messages += len(payloads)
+        self.in_next_payload_bytes += appended_bytes
+        self.in_next_count += appended
+        return messages, wire
 
     def inject(self, dst: int, payload: Any) -> None:
         """Control-plane activation message (job-manager originated).
@@ -264,6 +355,7 @@ class PartitionWorker:
         manager uses the cheap Azure queues for control traffic).
         """
         self.in_next.setdefault(dst, []).append(payload)
+        self.in_next_count += 1
 
     # ------------------------------------------------------------------
     # Aggregators
@@ -293,7 +385,7 @@ class PartitionWorker:
 
     def buffered_message_count(self) -> int:
         """Messages buffered for the next superstep (post-combine)."""
-        return sum(len(box) for box in self.in_next.values())
+        return self.in_next_count
 
     def buffered_message_bytes(self) -> float:
         """Wire-equivalent bytes of messages buffered for the next superstep."""
@@ -336,6 +428,7 @@ class PartitionWorker:
         self.total_state_bytes -= nb
         halted = self.halted.pop(v)
         pending = self.in_next.pop(v, [])
+        self.in_next_count -= len(pending)
         for p in pending:
             self.in_next_payload_bytes -= self.program.payload_nbytes(p)
         overlay = self._overlay.pop(v, None)
@@ -367,6 +460,7 @@ class PartitionWorker:
         if pending:
             box = self.in_next.setdefault(v, [])
             box.extend(pending)
+            self.in_next_count += len(pending)
             for p in pending:
                 self.in_next_payload_bytes += self.program.payload_nbytes(p)
         if overlay is not None:
@@ -377,32 +471,36 @@ class PartitionWorker:
     # Snapshot / restore (checkpointing support)
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        import copy
+        """The checkpointed part of the worker, by reference.
 
+        The caller makes the one copy a checkpoint needs: a deep copy in
+        the in-process engine, the frame pickle on the wire backends.
+        """
         return {
-            "states": copy.deepcopy(self.states),
-            "state_bytes": dict(self._state_bytes),
+            "states": self.states,
+            "state_bytes": self._state_bytes,
             "total_state_bytes": self.total_state_bytes,
-            "halted": dict(self.halted),
-            "in_next": copy.deepcopy(self.in_next),
+            "halted": self.halted,
+            "in_next": self.in_next,
             "in_next_payload_bytes": self.in_next_payload_bytes,
-            "overlay": copy.deepcopy(self._overlay),
+            "overlay": self._overlay,
             "overlay_bytes": self.overlay_bytes,
-            "pending_mutations": list(self._pending_mutations),
+            "pending_mutations": self._pending_mutations,
         }
 
     def restore(self, snap: dict) -> None:
-        import copy
-
-        self.states = copy.deepcopy(snap["states"])
-        self._state_bytes = dict(snap["state_bytes"])
+        """Adopt a snapshot's objects as the live state (no copy: the
+        caller hands over a private copy)."""
+        self.states = snap["states"]
+        self._state_bytes = snap["state_bytes"]
         self.total_state_bytes = snap["total_state_bytes"]
-        self.halted = dict(snap["halted"])
-        self.in_next = copy.deepcopy(snap["in_next"])
+        self.halted = snap["halted"]
+        self.in_next = snap["in_next"]
         self.in_next_payload_bytes = snap["in_next_payload_bytes"]
-        self._overlay = copy.deepcopy(snap["overlay"])
+        self.in_next_count = sum(map(len, self.in_next.values()))
+        self._overlay = snap["overlay"]
         self.overlay_bytes = snap["overlay_bytes"]
-        self._pending_mutations = list(snap["pending_mutations"])
+        self._pending_mutations = snap["pending_mutations"]
         self.in_cur = {}
         self.out_remote = {}
         self.out_remote_wire_bytes = 0.0

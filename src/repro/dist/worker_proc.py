@@ -84,7 +84,9 @@ def worker_main(
 
     try:
         while True:
-            cmd, epoch, payload = unpack_frame(conn.recv_bytes())
+            # copy=True: a restored checkpoint's arrays become live,
+            # mutable vertex state (same as the TCP daemon's reads).
+            cmd, epoch, payload = unpack_frame(conn.recv_bytes(), copy=True)
             conn.send_bytes(pack_frame(session.handle(cmd, epoch, payload)))
             if cmd == "stop":
                 return

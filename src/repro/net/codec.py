@@ -155,6 +155,10 @@ class StreamDecoder:
     frames, several frames at once — and it yields each complete decoded
     object exactly once.  A declared length beyond ``max_frame`` raises
     :class:`FrameTooLarge` immediately (before buffering the body).
+
+    Each frame decodes from its own private ``bytearray``, so out-of-band
+    buffers come back as writable views of it: a checkpoint the
+    coordinator received can be sent back out as mutable vertex state.
     """
 
     def __init__(self, max_frame: int = MAX_FRAME_BYTES) -> None:
@@ -180,7 +184,7 @@ class StreamDecoder:
                 )
             if len(self._buf) < header + frame_len:
                 break
-            frame = bytes(self._buf[header:header + frame_len])
+            frame = self._buf[header:header + frame_len]
             del self._buf[:header + frame_len]
             out.append(unpack_frame(frame))
         return out

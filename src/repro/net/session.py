@@ -22,7 +22,10 @@ epoch so the coordinator can discard ones that predate a recovery):
               resource numbers, metric deltas, fresh sanitizer
               violations, flight-event tail, captured output
 ``snapshot`` / ``restore``  checkpointing via the worker's own
-              snapshot()/restore()
+              snapshot()/restore(), which share objects with the live
+              worker: the frame pickle is the checkpoint's copy, so a
+              host must unpack command frames with ``copy=True`` (restored
+              NumPy state has to be writable)
 ``extract``   map final vertex states through ``program.extract``
 ``stop``      acknowledged with ``bye``; the caller ends the loop
 
@@ -172,11 +175,9 @@ class WorkerSession:
             recv_msgs = 0
             recv_bytes = 0.0
             for _src, frame in payload:
-                for dst_v, payloads in unpack_frame(frame):
-                    recv_bytes += worker.deliver_remote(
-                        int(dst_v), list(payloads)
-                    )
-                    recv_msgs += len(payloads)
+                msgs, wire = worker.deliver_remote(unpack_frame(frame))
+                recv_msgs += msgs
+                recv_bytes += wire
             metrics_delta = None
             if self._registry is not None:
                 cur = self._snapshot_registry(self._registry)

@@ -191,7 +191,9 @@ class PipeChannel(WorkerChannel):
             data = self.conn.recv_bytes()
         except (EOFError, OSError) as exc:
             raise TransportClosed(f"pipe closed mid-reply: {exc}") from exc
-        return unpack_frame(data)
+        # copy=True: a snapshot reply becomes the checkpoint, whose arrays
+        # must pickle as writable buffers when sent back in a restore.
+        return unpack_frame(data, copy=True)
 
     def drain_heartbeats(self) -> int:
         beats = 0

@@ -46,6 +46,21 @@ class TestFailureRecovery:
         assert len(res.recoveries) == 1
         assert np.allclose(res.values_array(), ref, atol=1e-6)
 
+    def test_checkpoint_survives_two_rollbacks(self, small_world):
+        def job(schedule):
+            return JobSpec(
+                program=PageRankProgram(12), graph=small_world,
+                num_workers=4, checkpoint_interval=4,
+                failure_schedule=schedule,
+            )
+
+        clean = run_job(job({}))
+        once = run_job(job({5: 2}))
+        twice = run_job(job({5: 2, 6: 1}))
+        assert [r.resumed_from for r in twice.recoveries] == [4, 4]
+        assert once.values == clean.values
+        assert twice.values == clean.values
+
     def test_recovery_event_metadata(self, small_world):
         res = run_job(
             JobSpec(

@@ -147,3 +147,212 @@ class TestStateBytesEstimator:
 
         deep = [[[[[1]]]]]
         assert _estimate_nbytes(deep) < 1000
+
+
+# ----------------------------------------------------------------------
+# The per-vertex message plane: batched emit, bucket delivery, counters
+# ----------------------------------------------------------------------
+class SizeSpy(VertexProgram):
+    """Vertex 0 sends one message along each out-edge in step 0; every
+    payload_nbytes call is recorded."""
+
+    def __init__(self):
+        self.sized = []
+
+    def compute(self, ctx, state, messages):
+        if ctx.superstep == 0 and ctx.vertex_id == 0:
+            ctx.send_to_neighbors(7)
+        ctx.vote_to_halt()
+        return state
+
+    def payload_nbytes(self, payload):
+        self.sized.append(payload)
+        return 8
+
+
+class SumBroadcaster(Broadcaster):
+    """Broadcaster with a numeric payload and a sum combiner."""
+
+    def __init__(self):
+        from repro.bsp.combiners import SumCombiner
+
+        self.combiner = SumCombiner()
+
+    def compute(self, ctx, state, messages):
+        if ctx.superstep == 0:
+            ctx.send_to_neighbors(1.0)
+        ctx.vote_to_halt()
+        return state
+
+
+def _closed_forms(graph, owner, num_workers, combined):
+    """Per-worker (local, remote, received) message counts of one
+    send-to-every-neighbor superstep, and the per-worker queue depth."""
+    src = np.repeat(np.arange(graph.num_vertices), np.diff(graph.indptr))
+    dst = np.asarray(graph.indices)
+    pairs = set(zip(owner[src].tolist(), dst.tolist()))  # (src worker, dst)
+    local = np.zeros(num_workers, dtype=int)
+    remote = np.zeros(num_workers, dtype=int)
+    received = np.zeros(num_workers, dtype=int)
+    if combined:
+        for sw, d in pairs:
+            if owner[d] == sw:
+                local[sw] += 1
+            else:
+                remote[sw] += 1
+                received[owner[d]] += 1
+        depth = np.bincount(owner[np.unique(dst)], minlength=num_workers)
+    else:
+        same = owner[src] == owner[dst]
+        local = np.bincount(owner[src][same], minlength=num_workers)
+        remote = np.bincount(owner[src][~same], minlength=num_workers)
+        received = np.bincount(owner[dst][~same], minlength=num_workers)
+        depth = np.bincount(owner[dst], minlength=num_workers)
+    return local, remote, received, depth
+
+
+class TestMessagePlane:
+    def test_neighbor_send_sizes_payload_once(self, star8):
+        spy = SizeSpy()
+        res = run_job(JobSpec(program=spy, graph=star8, num_workers=1))
+        assert res.trace.steps[0].workers[0].msgs_out_local == 7
+        assert spy.sized == [7]
+
+    def test_remote_delivery_sizes_each_payload_once(self, star8):
+        from repro.partition import ModuloPartitioner
+
+        spy = SizeSpy()
+        res = run_job(JobSpec(
+            program=spy, graph=star8, num_workers=2,
+            partitioner=ModuloPartitioner(),
+        ))
+        remote = res.trace.steps[0].remote_messages
+        assert remote == 4  # leaves 1, 3, 5, 7 live on worker 1
+        # one sizing for the batch at emit, one per payload at delivery
+        assert len(spy.sized) == 1 + remote
+
+    @pytest.mark.parametrize("program", [Broadcaster, SumBroadcaster])
+    def test_counts_and_bytes_match_closed_forms(self, small_world, program):
+        num_workers = 4
+        model = PerfModel()
+        eng = BSPEngine(JobSpec(
+            program=program(), graph=small_world, num_workers=num_workers,
+            perf_model=model,
+        ))
+        owner = np.asarray(eng.partition.assignment)
+        res = eng.run()
+        local, remote, received, depth = _closed_forms(
+            small_world, owner, num_workers,
+            combined=program is SumBroadcaster,
+        )
+        wire = model.message_wire_bytes(100)
+        step0 = res.trace.steps[0]
+        for ws in step0.workers:
+            w = ws.worker
+            assert ws.msgs_out_local == local[w]
+            assert ws.msgs_out_remote == remote[w]
+            assert ws.bytes_out == remote[w] * wire
+            assert ws.bytes_in == received[w] * wire
+            assert ws.queue_depth == depth[w]
+
+    def test_unknown_destination_through_send(self, ring10):
+        class BadSend(VertexProgram):
+            def compute(self, ctx, state, messages):
+                ctx.send(ctx.num_vertices, 1)
+                return state
+
+        with pytest.raises(ValueError, match="message to unknown vertex 10"):
+            run_job(JobSpec(program=BadSend(), graph=ring10, num_workers=2))
+
+    def test_unknown_destination_through_overlay_edge(self, ring10):
+        eng = BSPEngine(JobSpec(
+            program=Broadcaster(), graph=ring10, num_workers=1,
+        ))
+        w = eng.workers[0]
+        w.import_vertex(0, None, False, [], overlay=[1, 12])
+        with pytest.raises(ValueError, match="message to unknown vertex 12"):
+            eng.run()
+
+    def test_failed_batch_counts_what_it_buffered(self, ring10):
+        from repro.partition import ModuloPartitioner
+
+        model = PerfModel()
+        eng = BSPEngine(JobSpec(
+            program=Broadcaster(), graph=ring10, num_workers=2,
+            partitioner=ModuloPartitioner(), perf_model=model,
+        ))
+        w = eng.workers[0]
+        w.begin_superstep(0, {})
+        with pytest.raises(ValueError, match="message to unknown vertex -1"):
+            w.emit([2, 3, -1, 4], "payload")
+        # 2 is local, 3 remote; nothing after the bad destination
+        assert w.in_next == {2: ["payload"]}
+        assert w.out_remote == {1: {3: ["payload"]}}
+        assert w.buffered_message_count() == 1
+        assert w.in_next_payload_bytes == 100
+        assert w.out_remote_wire_bytes == model.message_wire_bytes(100)
+        assert w.stats.msgs_out_local == w.stats.msgs_out_remote == 1
+
+    def test_reassigned_owner_reroutes_next_emit(self, ring10):
+        eng = BSPEngine(JobSpec(
+            program=Broadcaster(), graph=ring10, num_workers=2,
+        ))
+        w = eng.workers[0]
+        dst = next(
+            v for v in range(10) if eng.partition.assignment[v] == 0
+        )
+        w.begin_superstep(0, {})
+        w.emit([dst], "a")
+        assert dst in w.in_next and not w.out_remote
+        moved = np.asarray(eng.partition.assignment).copy()
+        moved[dst] = 1
+        w.assignment = moved
+        w.emit([dst], "b")
+        assert w.out_remote == {1: {dst: ["b"]}}
+        assert w.in_next[dst] == ["a"]
+        assert w.stats.msgs_out_local == w.stats.msgs_out_remote == 1
+
+
+class TestQueueDepthCounter:
+    @pytest.mark.parametrize("combined", [False, True])
+    def test_running_count_matches_recount(self, small_world, combined):
+        import copy
+        import random
+
+        program = SumBroadcaster() if combined else Broadcaster()
+        eng = BSPEngine(JobSpec(
+            program=program, graph=small_world, num_workers=2,
+        ))
+        a, b = eng.workers
+        n = small_world.num_vertices
+        rng = random.Random(5)
+        snap = None
+
+        def recount(w):
+            return sum(len(box) for box in w.in_next.values())
+
+        for step in range(600):
+            op = rng.randrange(7)
+            w = a if rng.random() < 0.5 else b
+            if op == 0:
+                w.emit([rng.randrange(n) for _ in range(rng.randrange(4))], 1.0)
+            elif op == 1:
+                other = b if w is a else a
+                for bucket in other.out_remote.get(w.worker_id, {}).items():
+                    w.deliver_remote([bucket])
+                other.out_remote.pop(w.worker_id, None)
+            elif op == 2:
+                hosted = [v for v in w.states]
+                w.inject(rng.choice(hosted), 1.0)
+            elif op == 3 and len(w.states) > 1:
+                other = b if w is a else a
+                v = rng.choice(sorted(w.states))
+                other.import_vertex(v, *w.export_vertex(v))
+            elif op == 4:
+                snap = (w, copy.deepcopy(w.snapshot()))
+            elif op == 5 and snap is not None and snap[0] is w:
+                w.restore(copy.deepcopy(snap[1]))
+            elif op == 6 and rng.random() < 0.25:
+                w.begin_superstep(step, {})
+            assert a.buffered_message_count() == recount(a)
+            assert b.buffered_message_count() == recount(b)

@@ -10,16 +10,45 @@ process).
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.algorithms import PageRankProgram, SSSPProgram
-from repro.bsp import JobSpec, run_job, run_job_process
+from repro.bsp import JobSpec, VertexProgram, run_job, run_job_process
 from repro.dist import ProcessBSPEngine
 
 PROGRAMS = {
     "pagerank": lambda: PageRankProgram(8),
     "sssp": lambda: SSSPProgram(source=0),
 }
+
+
+class InPlaceArrayState(VertexProgram):
+    """Updates an ndarray vertex state in place every superstep."""
+
+    def __init__(self, supersteps: int) -> None:
+        self.supersteps = supersteps
+
+    def init_state(self, vertex_id, graph):
+        return np.zeros(2)
+
+    def compute(self, ctx, state, messages):
+        state[0] += sum(messages)
+        state[1] += 1.0
+        if ctx.superstep < self.supersteps:
+            ctx.send_to_neighbors(float(ctx.vertex_id % 5 + 1))
+        else:
+            ctx.vote_to_halt()
+        return state
+
+    def payload_nbytes(self, payload):
+        return 8
+
+    def state_nbytes(self, state):
+        return 16
+
+    def extract(self, vertex_id, state):
+        return tuple(state.tolist())
 
 
 def make_job(graph, program_factory, **kw):
@@ -54,6 +83,29 @@ class TestKillWorkerAt:
         res = engine.run()
         assert res.recoveries and res.recoveries[0].failed_worker == 0
         assert clean.values == res.values
+
+    @pytest.mark.parametrize("backend", ["pipe", "tcp"])
+    def test_restored_array_state_stays_writable(self, small_world, backend):
+        """Restore adopts the unpickled checkpoint: its arrays must come
+        back writable on every worker, the killed one and the survivor."""
+        from repro.net import TcpBSPEngine
+
+        def job():
+            return JobSpec(
+                program=InPlaceArrayState(9), graph=small_world,
+                num_workers=2, checkpoint_interval=3,
+            )
+
+        sim = run_job(job())
+        engine = (
+            ProcessBSPEngine(job()) if backend == "pipe"
+            else TcpBSPEngine(job(), auto_daemons=2)
+        )
+        engine.kill_worker_at(7, 1)
+        res = engine.run()
+        assert [r.resumed_from for r in res.recoveries] == [6]
+        assert res.values == sim.values
+        assert res.total_time > sim.total_time
 
     def test_matches_sim_engine_accounting(self, small_world):
         """The same schedule prices identically on sim and process."""
